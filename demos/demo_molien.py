@@ -17,7 +17,7 @@ def show(G, title):
     print("  fixed-ring Hilbert series:", format_ratfun_factored(report.scalar))
     for j, entry in enumerate(report.vector, start=1):
         print("  vertex %d: %s" % (j, format_ratfun_factored(entry)))
-    print("  matrix reconstruction status:", report.matrix.status)
+    print("  matrix:")
     for i in range(G.n):
         print("    [%s]" % ", ".join(
             format_ratfun_factored(report.matrix.matrix[i, j]) for j in range(G.n)

@@ -150,13 +150,9 @@ def cmd_molien(quiver, gens, options, out: _Output) -> int:
              "vector:\n  " + "\n  ".join(_fmt(v, options) for v in report.vector))
     out.emit("matrix_status", report.matrix.status,
              "matrix reconstruction: %s" % report.matrix.status)
-    if report.matrix.status == "ok":
-        matrix = _fmt_matrix(report.matrix.matrix, options)
-        out.emit("matrix", matrix, "matrix:\n  " + "\n  ".join(map(str, matrix)))
-        return 0
-    out.emit("matrix_truncation", report.matrix.truncation,
-             "exact series kept through degree %d" % report.matrix.truncation)
-    return 1
+    matrix = _fmt_matrix(report.matrix.matrix, options)
+    out.emit("matrix", matrix, "matrix:\n  " + "\n  ".join(map(str, matrix)))
+    return 0
 
 
 def cmd_fixed_ring(quiver, gens, options, out: _Output) -> int:

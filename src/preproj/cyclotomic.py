@@ -54,7 +54,8 @@ def _polydiv_exact(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
         if c:
             for j, bj in enumerate(b):
                 a[i + j] -= c * bj
-    assert all(x == 0 for x in a[len(q) - 1 + len(b) - 1 + 1:]) or True
+    if any(a[:len(b) - 1]):
+        raise ArithmeticError("polynomial division leaves a nonzero remainder")
     return q
 
 

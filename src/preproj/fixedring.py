@@ -391,7 +391,7 @@ def verify_presentation(pres: Presentation, G: AutGroup, D: int | None = None) -
     mol = molien_report(G, D)
     total_ok = total == mol.scalar
     vector_ok = vector == mol.vector
-    matrix_ok = mol.matrix.status == "ok" and matrix == mol.matrix.matrix
+    matrix_ok = matrix == mol.matrix.matrix
     return PresentationVerification(
         total_ok and vector_ok and matrix_ok, matrix_ok, vector_ok, total_ok, amb
     )
@@ -433,11 +433,6 @@ def diagnose_projectivity(G: AutGroup, D: int | None = None) -> DiagnosisReport:
     """
     notes = []
     mol = molien_report(G, D)
-    if mol.matrix.status != "ok":
-        return DiagnosisReport(
-            None, "none", "Inconclusive",
-            ["matrix series reconstruction failed; only truncated data available"],
-        )
     try:
         inv = mat_inverse(mol.matrix.matrix)
     except SingularMatrixError:

@@ -292,10 +292,6 @@ def _rat(x) -> RatFun:
     return RatFun(_poly(x))
 
 
-def ratfun_normalize(num: Poly, den: Poly) -> RatFun:
-    return RatFun(num, den)
-
-
 def series_expand(f: RatFun, trunc: int) -> list[CycNum]:
     """Exact power-series coefficients of f at 0 through degree ``trunc``."""
     if trunc < 0:

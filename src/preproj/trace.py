@@ -127,8 +127,7 @@ def vector_trace_closed_34(g: DiagonalAut) -> list[RatFun]:
     """
     n = g.n
     b = [_b_poly(g, ell) for ell in range(1, n + 1)]
-    den = Poly([1] + [0] * (n - 1) + [-_prod_c(g, 1, n)])
-    den = den * Poly([1] + [0] * (n - 1) + [-_prod_t(g, 1, n)])
+    den = raw_denominator(g)
     out = []
     for ell in range(1, n + 1):
         # row ell of M^{-1}: entry at column ell+k is c_ell...c_{ell+k-1} t^k
@@ -219,6 +218,13 @@ def vector_trace_closed_35(g: DiagonalAut) -> list[RatFun]:
     return out
 
 
+def raw_denominator(g: DiagonalAut) -> Poly:
+    """raw_q = (1 - c_1...c_n t^n)(1 - t_1...t_n t^n), unreduced."""
+    n = g.n
+    factor_c = Poly([1] + [0] * (n - 1) + [-_prod_c(g, 1, n)])
+    return factor_c * Poly([1] + [0] * (n - 1) + [-_prod_t(g, 1, n)])
+
+
 def total_trace_closed(g: DiagonalAut):
     """Explicit fraction (raw_p, raw_q, reduced) for the total trace.
 
@@ -232,11 +238,7 @@ def total_trace_closed(g: DiagonalAut):
                 term = _prod_t(g, n - k + ell, n + ell - 1) * _prod_c(g, n - s + ell, n + ell - 1)
                 coeffs[k + s] = coeffs[k + s] + term
     raw_p = Poly(coeffs)
-    prod_c = _prod_c(g, 1, n)
-    prod_t = _prod_t(g, 1, n)
-    factor_c = Poly([1] + [0] * (n - 1) + [-prod_c])
-    factor_t = Poly([1] + [0] * (n - 1) + [-prod_t])
-    raw_q = factor_c * factor_t
+    raw_q = raw_denominator(g)
     return raw_p, raw_q, RatFun(raw_p, raw_q)
 
 

@@ -64,6 +64,16 @@ def test_molien_command(tmp_path, capsys):
     assert "matrix reconstruction: ok" in out
 
 
+def test_molien_and_diagnose_zeta3_4cycle(tmp_path, capsys):
+    job = write_job(tmp_path, n=4, generators=[(["zeta(3)"] * 4, ["zeta(3)"] * 4)])
+    assert main(["molien", job, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["matrix_status"] == "ok"
+    assert len(doc["matrix"]) == 4
+    assert main(["diagnose", job, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "NotProjective"
+
+
 def test_diagnose_command(tmp_path, capsys):
     job = write_job(tmp_path, generators=[ORDER6])
     assert main(["diagnose", job]) == 0

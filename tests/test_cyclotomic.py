@@ -1,10 +1,12 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from preproj.cyclotomic import (
     CycDivisionError,
     CycNum,
+    _polydiv_exact,
     cyclotomic_polynomial,
     format_scalar,
     order_as_root_of_unity,
@@ -19,6 +21,36 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+
+def test_polydiv_exact_rejects_a_remainder():
+    one = Fraction(1)
+    with pytest.raises(ArithmeticError):
+        _polydiv_exact([one, 0 * one, one], [-one, one])  # (x^2 + 1) / (x - 1)
+    assert _polydiv_exact([-one, 0 * one, one], [-one, one]) == [one, one]
+
+
+def _polymul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_cyclotomic_polynomials_up_to_60():
+    # Phi_n is the monic integer polynomial of degree phi(n) with
+    # prod_{d | n} Phi_d = x^n - 1; that fixes every Phi_n in turn.
+    cyclotomic_polynomial.cache_clear()
+    for n in range(1, 61):
+        phi = cyclotomic_polynomial(n)
+        assert len(phi) - 1 == sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+        assert all(c.denominator == 1 for c in phi)
+        prod = [Fraction(1)]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                prod = _polymul(prod, list(cyclotomic_polynomial(d)))
+        assert prod == [-1] + [0] * (n - 1) + [1]
 
 
 def test_primitive_root_relations():

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from preproj import molien
 from preproj.molien import (
-    default_truncation,
+    _matrix_series,
     hilbert_A,
     hilbert_eA,
     matrix_hilbert_A,
@@ -58,7 +59,7 @@ def test_molien_vector_sums_to_scalar(group_order6, group_order3):
         assert sum(molien_vector(G), RatFun.constant(0)) == molien_scalar(G)
 
 
-def test_molien_matrix_reconstruction(group_order6):
+def test_molien_matrix_order6(group_order6):
     rec = molien_matrix(group_order6)
     assert rec.status == "ok"
     den = parse_ratfun("1/(1-t^3)^2")
@@ -79,15 +80,45 @@ def test_molien_matrix_trivial_group():
     assert rec.matrix == matrix_hilbert_A(3)
 
 
-def test_molien_matrix_truncation_validation(group_order6):
+def test_molien_matrix_window_validation(group_order6):
     with pytest.raises(ValueError):
         molien_matrix(group_order6, 5)
 
 
-def test_default_truncation(group_order6):
-    # order-6 scalars, 3 vertices: max(12, 36)
-    assert default_truncation(group_order6) == 36
-    assert default_truncation(AutGroup.trivial(3)) == 12
+ZETA3_4CYCLE = (["zeta(3)"] * 4, ["zeta(3)"] * 4)
+# deg lcm(raw_q) = 60 here, far above the default window D = 4n = 20.
+N5_ORDER8 = (["-zeta(8)", "1", "-zeta(8)^3", "zeta(8)^3", "1"],
+             ["-zeta(8)", "zeta(8)^2", "zeta(8)^3", "-zeta(8)^3", "zeta(8)^2"])
+
+
+def test_molien_matrix_zeta3_4cycle():
+    G = generate_group([make_aut(4, *ZETA3_4CYCLE)])
+    rec = molien_matrix(G)
+    assert rec.matrix.row_sums() == molien_vector(G)
+    # D = 30 lies above deg lcm(raw_q) = 24
+    series = _matrix_series(G, 30)
+    for i in range(4):
+        for j in range(4):
+            assert series_expand(rec.matrix[i, j], 30) == series[i][j]
+
+
+def test_molien_matrix_n5_order8():
+    G = generate_group([make_aut(5, *N5_ORDER8)])
+    assert len(G) == 8
+    assert molien_matrix(G).matrix.row_sums() == molien_vector(G)
+
+
+def test_molien_matrix_disagreement_raises(group_order3, monkeypatch):
+    real = molien._matrix_series
+
+    def perturbed(G, D):
+        series = real(G, D)
+        series[1][2][D] = series[1][2][D] + 1
+        return series
+
+    monkeypatch.setattr(molien, "_matrix_series", perturbed)
+    with pytest.raises(ArithmeticError, match=r"entry \(2, 3\)"):
+        molien_matrix(group_order3)
 
 
 def test_molien_report_consistency(group_order3):
