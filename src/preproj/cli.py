@@ -149,7 +149,7 @@ def cmd_molien(quiver, gens, options, out: _Output) -> int:
     out.emit("vector", [_fmt(v, options) for v in report.vector],
              "vector:\n  " + "\n  ".join(_fmt(v, options) for v in report.vector))
     out.emit("matrix_status", report.matrix.status,
-             "matrix reconstruction: %s" % report.matrix.status)
+             "matrix series: %s (checked against path sums)" % report.matrix.status)
     matrix = _fmt_matrix(report.matrix.matrix, options)
     out.emit("matrix", matrix, "matrix:\n  " + "\n  ".join(map(str, matrix)))
     return 0

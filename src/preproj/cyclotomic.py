@@ -189,7 +189,8 @@ class CycNum:
             s0, s1 = s1, _polysub(s0, _polymul(q, s1))
         # r0 = gcd (a nonzero constant since Phi_N is irreducible), s0*a = r0 mod Phi.
         lead = next(c for c in reversed(r0) if c)
-        assert all(c == 0 for c in r0[1:]) and r0[0] == lead
+        if any(c != 0 for c in r0[1:]) or r0[0] != lead:
+            raise ArithmeticError("gcd with Phi_%d is not a constant" % self.conductor)
         inv = [c / lead for c in s0]
         return CycNum(self.conductor, _reduce_mod_cyclotomic(inv, self.conductor))
 

@@ -445,7 +445,8 @@ def diagnose_projectivity(G: AutGroup, D: int | None = None) -> DiagnosisReport:
         sum((P[i, j] * mol.vector[j] for j in range(n)), RatFun.constant(0))
         for i in range(n)
     ]
-    assert check == [hilbert_eA(n)] * n, "decomposition identity failed"
+    if check != [hilbert_eA(n)] * n:
+        raise ArithmeticError("decomposition identity failed")
     entries = [[_nonneg_integer_poly(P[i, j]) for j in range(n)] for i in range(n)]
     projective_ok = all(e is not None for row in entries for e in row)
     cofactor = _nonneg_integer_poly(hilbert_A(n) / mol.scalar)

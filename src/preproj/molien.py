@@ -13,7 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cyclotomic import CycNum
-from .ratfun import Poly, RatFun, RatMatrix, mat_inverse, poly_div_exact, poly_lcm, series_expand
+from .ratfun import (
+    Poly,
+    RatFun,
+    RatMatrix,
+    mat_inverse,
+    poly_div_exact,
+    poly_lcm_all,
+    series_expand,
+    sums_to,
+)
 from .quiver import AutGroup, DiagonalAut
 from .trace import eigenvalue_table, raw_denominator, total_trace_closed, vector_trace_closed_34
 
@@ -57,16 +66,9 @@ def _mean(nums: list, q: Poly) -> RatFun:
     return RatFun(sum(nums, Poly()).scale(CycNum.from_rational(1) / len(nums)), q)
 
 
-def _lcm(polys) -> Poly:
-    q = Poly.constant(1)
-    for p in polys:
-        q = poly_lcm(q, p)
-    return q
-
-
 def _average(fracs: list) -> RatFun:
     """The mean of the rational functions, over the lcm of their denominators."""
-    q = _lcm(f.den for f in fracs)
+    q = poly_lcm_all(f.den for f in fracs)
     return _mean([f.num * poly_div_exact(q, f.den) for f in fracs], q)
 
 
@@ -143,7 +145,7 @@ def molien_matrix(G: AutGroup, D: int | None = None) -> MatrixReconstruction:
     if D < 4 * n:
         raise ValueError("truncation %d too small; need at least 4n = %d" % (D, 4 * n))
     raws = [raw_denominator(g) for g in G]
-    q = _lcm(raws)
+    q = poly_lcm_all(raws)
     nums = []
     for g, raw_q in zip(G, raws):
         cofactor = poly_div_exact(q, raw_q)
@@ -171,9 +173,9 @@ def molien_report(G: AutGroup, D: int | None = None) -> MolienReport:
     """Scalar, vector and matrix series with internal consistency checks."""
     scalar = molien_scalar(G)
     vector = molien_vector(G)
-    if sum(vector, RatFun.constant(0)) != scalar:
+    if not sums_to(vector, scalar):
         raise ArithmeticError("vector series do not sum to the scalar series")
     matrix = molien_matrix(G, D)
-    if matrix.matrix.row_sums() != vector:
+    if not all(sums_to(row, v) for row, v in zip(matrix.matrix.entries, vector)):
         raise ArithmeticError("matrix row sums disagree with the vector series")
     return MolienReport(scalar=scalar, vector=vector, matrix=matrix)

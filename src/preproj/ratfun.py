@@ -167,8 +167,22 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 def poly_lcm(a: Poly, b: Poly) -> Poly:
     q, r = (a * b).divmod(poly_gcd(a, b))
-    assert r.is_zero()
+    if not r.is_zero():
+        raise ArithmeticError("gcd does not divide the product")
     return q.monic()
+
+
+def poly_lcm_all(polys) -> Poly:
+    """Monic lcm of the polynomials.
+
+    A polynomial that already divides the running lcm costs one exact
+    division and no gcd.
+    """
+    q = Poly.constant(1)
+    for p in polys:
+        if poly_div_exact(q, p) is None:
+            q = poly_lcm(q, p)
+    return q
 
 
 def poly_div_exact(a: Poly, b: Poly):
@@ -294,21 +308,37 @@ def _rat(x) -> RatFun:
 
 def series_expand(f: RatFun, trunc: int) -> list[CycNum]:
     """Exact power-series coefficients of f at 0 through degree ``trunc``."""
+    return fraction_series(f.num, f.den, trunc)
+
+
+def fraction_series(num: Poly, den: Poly, trunc: int) -> list[CycNum]:
+    """Power-series coefficients of num/den through ``trunc``, unreduced."""
     if trunc < 0:
         raise ValueError("truncation degree must be nonnegative")
-    b0 = f.den.coeff(0)
+    b0 = den.coeff(0)
     if b0.is_zero():
         raise NotAPowerSeriesError("denominator vanishes at 0")
     inv_b0 = b0.inverse()
     out = []
     for k in range(trunc + 1):
-        acc = f.num.coeff(k)
-        for j in range(1, min(k, f.den.degree) + 1):
-            bj = f.den.coeff(j)
+        acc = num.coeff(k)
+        for j in range(1, min(k, den.degree) + 1):
+            bj = den.coeff(j)
             if not bj.is_zero():
                 acc = acc - bj * out[k - j]
         out.append(acc * inv_b0)
     return out
+
+
+def sums_to(fracs: list[RatFun], target: RatFun) -> bool:
+    """Is sum(fracs) == target?  Checked without reducing any numerator.
+
+    The numerators are compared over the lcm of the denominators, so the
+    only gcds taken are of denominators.
+    """
+    q = poly_lcm_all([target.den] + [f.den for f in fracs])
+    total = sum((f.num * poly_div_exact(q, f.den) for f in fracs), Poly())
+    return total == target.num * poly_div_exact(q, target.den)
 
 
 def pole_order_at_one(f: RatFun) -> int:
@@ -438,7 +468,8 @@ def poly_mat_solve(rows: list, b: list) -> list:
             for j in range(k + 1, n + 1):
                 num = aug[k][k] * aug[i][j] - aug[i][k] * aug[k][j]
                 quo = poly_div_exact(num, prev)
-                assert quo is not None, "fraction-free elimination lost exactness"
+                if quo is None:
+                    raise ArithmeticError("fraction-free elimination lost exactness")
                 aug[i][j] = quo
             aug[i][k] = Poly()
         prev = aug[k][k]

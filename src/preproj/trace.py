@@ -10,6 +10,16 @@ Three independent computations of the same data:
 
 The total trace also has an explicit (not necessarily reduced) fraction
 raw_p/raw_q with raw_q = (1 - c_1...c_n t^n)(1 - t_1...t_n t^n).
+
+trace_report checks the closed forms against each other as polynomial
+identities over their known denominators, never on reduced forms: the
+3.4 numerators p34 (over raw_q) and the 3.5 numerators p35 (over det D(t))
+satisfy p34 * det == p35 * raw_q, and sum(p34) == raw_p.  The 3.5
+fractions carry their own certificates (tail vanishing and re-expansion,
+unreduced).  The reduced vector and total are compared with the oracle
+series through the window D.  Only those n + 1 printed series are
+normalised, so a report takes n + 1 gcds.  Every failed check raises
+ArithmeticError.
 """
 
 from __future__ import annotations
@@ -21,6 +31,7 @@ from .cyclotomic import CycNum, order_as_root_of_unity
 from .ratfun import (
     Poly,
     RatFun,
+    fraction_series,
     pole_order_at_one,
     poly_div_exact,
     series_expand,
@@ -119,15 +130,15 @@ def closed_34_matrix(g: DiagonalAut) -> list[list[Poly]]:
     return rows
 
 
-def vector_trace_closed_34(g: DiagonalAut) -> list[RatFun]:
-    """Vector trace via the unipotent system M(t) x = b(t).
+def closed_34_numerators(g: DiagonalAut) -> list[Poly]:
+    """Numerators of the vector trace over raw_denominator(g), unreduced.
 
-    M = I - Xt with X the c-weighted forward shift; X^n = (c_1...c_n) I, so
+    From the unipotent system M(t) x = b(t): M = I - Xt with X the
+    c-weighted forward shift; X^n = (c_1...c_n) I, so
     M^{-1} = (sum_{k<n} X^k t^k) / (1 - c_1...c_n t^n) explicitly.
     """
     n = g.n
     b = [_b_poly(g, ell) for ell in range(1, n + 1)]
-    den = raw_denominator(g)
     out = []
     for ell in range(1, n + 1):
         # row ell of M^{-1}: entry at column ell+k is c_ell...c_{ell+k-1} t^k
@@ -135,8 +146,14 @@ def vector_trace_closed_34(g: DiagonalAut) -> list[RatFun]:
         for k in range(n):
             weight = _prod_c(g, ell, ell + k - 1)
             num = num + Poly.t_power(k, weight) * b[(ell + k - 1) % n]
-        out.append(RatFun(num, den))
+        out.append(num)
     return out
+
+
+def vector_trace_closed_34(g: DiagonalAut) -> list[RatFun]:
+    """Vector trace via the unipotent system M(t) x = b(t), normalised."""
+    den = raw_denominator(g)
+    return [RatFun(num, den) for num in closed_34_numerators(g)]
 
 
 def closed_35_matrix(g: DiagonalAut) -> list[list[Poly]]:
@@ -178,12 +195,14 @@ def closed_35_determinant(g: DiagonalAut) -> Poly:
     return det - Poly.t_power(n, corner)
 
 
-def vector_trace_closed_35(g: DiagonalAut) -> list[RatFun]:
-    """Vector trace via the tridiagonal-with-corners matrix D(t).
+def closed_35_numerators(g: DiagonalAut) -> tuple[list[Poly], Poly]:
+    """Numerators of the vector trace over det D(t), unreduced, and det.
 
     The solution of D(t) x = (1,...,1)^T is found from the explicit
-    determinant and the power-series recurrence the system imposes; the
-    resulting rational functions are certified by exact re-expansion.
+    determinant and the power-series recurrence the system imposes.  Each
+    fraction is certified, unreduced (det(0) = 1), by the vanishing of the
+    tail of det * x and by exact re-expansion; a failed certificate raises
+    ArithmeticError.
     """
     n = g.n
     q = g.c[0] * g.t[0]
@@ -209,13 +228,25 @@ def vector_trace_closed_35(g: DiagonalAut) -> list[RatFun]:
             for j in range(min(k, det.degree) + 1):
                 acc = acc + det.coeff(j) * coeffs[k - j]
             prod.append(acc)
-        assert all(c.is_zero() for c in prod[det.degree + 1:]), (
-            "determinant does not clear the series tail"
-        )
-        f = RatFun(Poly(prod[:det.degree + 1]), det)
-        assert series_expand(f, K) == coeffs
-        out.append(f)
-    return out
+        if not all(c.is_zero() for c in prod[det.degree + 1:]):
+            raise ArithmeticError(
+                "closed form 3.5: the determinant does not clear the series tail "
+                "at vertex %d" % (i + 1)
+            )
+        num = Poly(prod[:det.degree + 1])
+        if fraction_series(num, det, K) != coeffs:
+            raise ArithmeticError(
+                "closed form 3.5: the fraction at vertex %d does not re-expand to "
+                "its series through degree %d" % (i + 1, K)
+            )
+        out.append(num)
+    return out, det
+
+
+def vector_trace_closed_35(g: DiagonalAut) -> list[RatFun]:
+    """Vector trace via the tridiagonal-with-corners matrix D(t), normalised."""
+    nums, det = closed_35_numerators(g)
+    return [RatFun(num, det) for num in nums]
 
 
 def raw_denominator(g: DiagonalAut) -> Poly:
@@ -285,32 +316,43 @@ class TraceReport:
 def trace_report(g: DiagonalAut, D: int | None = None, skip_oracle: bool = False) -> TraceReport:
     """Run all trace computations and cross-check them against each other.
 
-    Any disagreement between the methods is an internal bug, reported as an
-    AssertionError rather than a user-facing condition.
+    The identities between closed forms are checked on unreduced numerators
+    over their known denominators, raw_q and det D(t), so no gcd is taken;
+    only the n vector entries and the total are normalised.  Any
+    disagreement between the methods is an internal bug, reported as an
+    ArithmeticError rather than a user-facing condition.
     """
     n = g.n
     if D is None:
         D = 2 * n
     if D < 2 * n:
         raise ValueError("cross-check window must cover degree 2n = %d" % (2 * n))
-    v34 = vector_trace_closed_34(g)
-    v35 = vector_trace_closed_35(g)
-    assert all(a == b for a, b in zip(v34, v35)), "closed-form trace methods disagree"
     raw_p, raw_q, total = total_trace_closed(g)
-    vec_sum = sum(v34, RatFun.constant(0))
-    assert vec_sum == total, "vector entries do not sum to the total trace"
+    p34 = closed_34_numerators(g)
+    p35, det = closed_35_numerators(g)
+    for j, (a, b) in enumerate(zip(p34, p35)):
+        if a * det != b * raw_q:
+            raise ArithmeticError(
+                "closed forms 3.4 and 3.5 disagree at vertex %d" % (j + 1))
+    if sum(p34, Poly()) != raw_p:
+        raise ArithmeticError("vector entries do not sum to the total trace")
+    vector = [RatFun(p, raw_q) for p in p34]
     if not skip_oracle:
         oracle_vec, oracle_total = trace_oracle(g, D)
         for j in range(n):
-            assert series_expand(v34[j], D) == oracle_vec[j], (
-                "closed form disagrees with the oracle at vertex %d" % (j + 1)
-            )
-        assert series_expand(total, D) == oracle_total
+            if series_expand(vector[j], D) != oracle_vec[j]:
+                raise ArithmeticError(
+                    "closed form disagrees with the oracle at vertex %d through "
+                    "degree %d" % (j + 1, D))
+        if series_expand(total, D) != oracle_total:
+            raise ArithmeticError(
+                "total trace disagrees with the oracle through degree %d" % D)
     pole = pole_order_at_one(total)
-    assert pole <= 2, "trace has a pole of order > 2 at t = 1"
+    if pole > 2:
+        raise ArithmeticError("trace has a pole of order %d > 2 at t = 1" % pole)
     return TraceReport(
         total=total,
-        vector=v34,
+        vector=vector,
         raw_p=raw_p,
         raw_q=raw_q,
         pole_order_one=pole,

@@ -61,7 +61,7 @@ def test_molien_command(tmp_path, capsys):
     assert main(["molien", job]) == 0
     out = capsys.readouterr().out
     assert "(3 + t + t^2)/(1-t^3)^2" in out
-    assert "matrix reconstruction: ok" in out
+    assert "matrix series: ok (checked against path sums)" in out
 
 
 def test_molien_and_diagnose_zeta3_4cycle(tmp_path, capsys):

@@ -15,7 +15,8 @@ from preproj.molien import (
 )
 from preproj.parsing import parse_ratfun
 from preproj.quiver import AutGroup, generate_group, make_aut
-from preproj.ratfun import RatFun, series_expand
+from preproj import ratfun
+from preproj.ratfun import Poly, RatFun, series_expand, sums_to
 from preproj.cyclotomic import root_of_unity
 
 
@@ -126,6 +127,29 @@ def test_molien_report_consistency(group_order3):
     assert sum(rep.vector, RatFun.constant(0)) == rep.scalar
     assert rep.matrix.status == "ok"
     assert rep.matrix.matrix.row_sums() == rep.vector
+
+
+def test_sums_to_rejects_a_perturbed_target(group_order3, monkeypatch):
+    rep = molien_report(group_order3)
+    rows = rep.matrix.matrix.entries
+    dens = [rep.scalar.den] + [f.den for f in rep.vector]
+    dens += [f.den for row in rows for f in row]
+    seconds = []
+    real = ratfun.poly_gcd
+
+    def recorded(a, b):
+        seconds.append(b)
+        return real(a, b)
+
+    monkeypatch.setattr(ratfun, "poly_gcd", recorded)
+    assert sums_to(rep.vector, rep.scalar)
+    assert all(sums_to(row, v) for row, v in zip(rows, rep.vector))
+    # every gcd taken is against a denominator, never a numerator
+    assert all(any(b == d for d in dens) for b in seconds)
+    bump = RatFun(Poly.t_power(7), Poly([1, -1]))
+    assert not sums_to(rep.vector, rep.scalar + bump)
+    assert not sums_to(rows[0], rep.vector[0] + RatFun.constant(1))
+    assert sums_to([], RatFun.constant(0))
 
 
 def test_molien_coefficients_nonnegative_integers():

@@ -1,15 +1,24 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+from preproj import ratfun, trace
 
 from preproj.cyclotomic import CycNum, root_of_unity
 from preproj.parsing import parse_ratfun
 from preproj.quiver import DiagonalAut, make_aut
-from preproj.ratfun import RatFun, series_expand
+from preproj.ratfun import Poly, RatFun, series_expand
 from preproj.trace import (
     b_vector,
+    closed_34_numerators,
+    closed_35_numerators,
     eq2_quotient_traces,
     p_at_one_factorization,
+    raw_denominator,
     total_trace_closed,
     trace_oracle,
     trace_report,
@@ -166,3 +175,103 @@ def test_random_methods_agree():
         oracle_vec, _ = trace_oracle(g, 15)
         for j in range(n):
             assert series_expand(v34[j], 15) == oracle_vec[j]
+
+
+def test_numerator_identities_over_shared_denominators():
+    # sum_j P34_j = raw_p and P34_j * det = P35_j * raw_q, exactly as polynomials
+    rng = random.Random(20261018)
+    for _ in range(12):
+        n = rng.randrange(3, 9)
+        g = random_aut(rng, n)
+        raw_p, raw_q, _ = total_trace_closed(g)
+        p34 = closed_34_numerators(g)
+        p35, det = closed_35_numerators(g)
+        assert raw_q == raw_denominator(g)
+        assert sum(p34, Poly()) == raw_p
+        assert det.coeff(0).is_one()
+        assert all(a * det == b * raw_q for a, b in zip(p34, p35))
+
+
+def test_trace_report_perturbed_35_numerator_raises(g_order6, monkeypatch):
+    real = trace.closed_35_numerators
+
+    def perturbed(g):
+        nums, det = real(g)
+        return [nums[0] + Poly.t_power(1)] + nums[1:], det
+
+    monkeypatch.setattr(trace, "closed_35_numerators", perturbed)
+    with pytest.raises(ArithmeticError, match="3.4 and 3.5 disagree at vertex 1"):
+        trace_report(g_order6, 40)
+
+
+def test_trace_report_perturbed_total_raises(g_order6, monkeypatch):
+    real = trace.total_trace_closed
+
+    def perturbed(g):
+        raw_p, raw_q, total = real(g)
+        return raw_p + 1, raw_q, total
+
+    monkeypatch.setattr(trace, "total_trace_closed", perturbed)
+    with pytest.raises(ArithmeticError, match="do not sum to the total"):
+        trace_report(g_order6, 40)
+
+
+def test_trace_report_perturbed_oracle_raises(g_order6, monkeypatch):
+    real = trace.trace_oracle
+
+    def perturbed(g, D):
+        vector, total = real(g, D)
+        vector[1][D] = vector[1][D] + 1
+        return vector, total
+
+    monkeypatch.setattr(trace, "trace_oracle", perturbed)
+    with pytest.raises(ArithmeticError, match="oracle at vertex 2 through degree 40"):
+        trace_report(g_order6, 40)
+
+
+def test_closed_35_wrong_determinant_raises(g_order6, monkeypatch):
+    real = trace.closed_35_determinant
+    monkeypatch.setattr(trace, "closed_35_determinant",
+                        lambda g: real(g) + Poly.t_power(2))
+    with pytest.raises(ArithmeticError, match="does not clear the series tail"):
+        closed_35_numerators(g_order6)
+
+
+def test_trace_checks_survive_python_O():
+    script = """
+from preproj import trace
+from preproj.quiver import make_aut
+real = trace.trace_oracle
+def perturbed(g, D):
+    vector, total = real(g, D)
+    total[D] = total[D] + 1
+    return vector, total
+trace.trace_oracle = perturbed
+g = make_aut(3, ["1", "-1", "-1"], ["zeta(3)", "-zeta(3)", "-zeta(3)"])
+try:
+    trace.trace_report(g, 12)
+except ArithmeticError as exc:
+    print("raised:", exc)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert "raised: total trace disagrees with the oracle" in out.stdout
+
+
+def test_trace_report_normalises_only_printed_series(g_order6, monkeypatch):
+    # one gcd for each of the n vector entries and one for the total
+    calls = []
+    real = ratfun.poly_gcd
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(ratfun, "poly_gcd", counted)
+    rng = random.Random(11)
+    for g in (g_order6, random_aut(rng, 6)):
+        calls.clear()
+        trace_report(g, 40)
+        assert len(calls) <= g.n + 1
