@@ -9,7 +9,6 @@ value never has to be recognized as living in a subfield.
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -245,11 +244,6 @@ class CycNum:
 
     # -- misc --------------------------------------------------------------
 
-    def embed(self) -> complex:
-        """Value at the standard complex embedding zeta_N -> exp(2*pi*i/N)."""
-        z = cmath.exp(2j * cmath.pi / self.conductor)
-        return sum(float(c) * z ** k for k, c in enumerate(self.coeffs))
-
     def __repr__(self):
         return "CycNum(%r)" % format_scalar(self)
 
@@ -302,20 +296,15 @@ def root_of_unity(m: int, k: int = 1) -> CycNum:
 def order_as_root_of_unity(a: CycNum):
     """Smallest m with a^m = 1, or None if a is not a root of unity.
 
-    Any root of unity inside Q(zeta_N) has order dividing 2N, so checking
-    powers up to 2N is a complete decision procedure.  A cheap modulus check
-    at the complex embedding short-circuits the obvious non-roots.
+    The roots of unity in Q(zeta_N) are the +-zeta_N^k, whose orders divide
+    2N, so the order is the smallest divisor d of 2N with a^d = 1, if any.
     """
     if a.is_zero():
         raise CycDivisionError("zero is not a root of unity")
-    if abs(abs(a.embed()) - 1.0) > 1e-6:
-        return None
     bound = 2 * a.conductor
-    power = a
-    for m in range(1, bound + 1):
-        if power.is_one():
-            return m
-        power = power * a
+    for d in range(1, bound + 1):
+        if bound % d == 0 and (a ** d).is_one():
+            return d
     return None
 
 

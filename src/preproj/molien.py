@@ -2,10 +2,18 @@
 
 Averaging the trace functions of a finite automorphism group gives the
 Hilbert series of the fixed ring, in scalar, per-vertex (vector) and
-per-vertex-pair (matrix) refinements.  The matrix refinement is a closed
-form too: the total-trace numerator of each group element split by the end
-vertex of each path, over the same denominator raw_q.  It is certified
-against the exact path-sum series through a degree window.
+per-vertex-pair (matrix) refinements.  Every trace of g is an explicit
+numerator over raw_q(g) = (1 - C t^n)(1 - T t^n): raw_p for the total, the
+closed-form 3.4 numerators for the vertices, and the total-trace numerator
+split by the end vertex of each path for the vertex pairs.  All three
+averages go through _average: one denominator lcm(raw_q) per group, the
+numerators summed over it unreduced, each mean normalised once.
+
+molien_report builds all three numerator sets in one pass and checks them
+per element, as polynomial identities over raw_q(g): the vertex numerators
+sum to raw_p, and each row of the vertex-pair numerators sums to its vertex
+numerator.  The matrix is certified against the exact path-sum series
+through a degree window.  Every failed check raises ArithmeticError.
 """
 
 from __future__ import annotations
@@ -21,10 +29,9 @@ from .ratfun import (
     poly_div_exact,
     poly_lcm_all,
     series_expand,
-    sums_to,
 )
 from .quiver import AutGroup, DiagonalAut
-from .trace import eigenvalue_table, raw_denominator, total_trace_closed, vector_trace_closed_34
+from .trace import closed_34_numerators, eigenvalue_table, raw_denominator, raw_numerator
 
 
 def hilbert_A(n: int) -> RatFun:
@@ -57,30 +64,31 @@ def matrix_hilbert_A(n: int) -> RatMatrix:
     return mat_inverse(RatMatrix(rows))
 
 
-def _mean(nums: list, q: Poly) -> RatFun:
-    """The mean of the fractions num/q, normalised once.
+def _average(G: AutGroup, numerators) -> list[RatFun]:
+    """The group means of numerators(g)[k] / raw_q(g), one for each k.
 
-    Summing over one denominator without reducing avoids a gcd of growing
-    degree at every step of the sum.
+    The numerators are scaled to the one denominator q = lcm(raw_q) and
+    summed without reducing, so the only gcds are those building q and one
+    per mean, to normalise it.
     """
-    return RatFun(sum(nums, Poly()).scale(CycNum.from_rational(1) / len(nums)), q)
-
-
-def _average(fracs: list) -> RatFun:
-    """The mean of the rational functions, over the lcm of their denominators."""
-    q = poly_lcm_all(f.den for f in fracs)
-    return _mean([f.num * poly_div_exact(q, f.den) for f in fracs], q)
+    raws = [raw_denominator(g) for g in G]
+    q = poly_lcm_all(raws)
+    rows = []
+    for g, raw_q in zip(G, raws):
+        cofactor = poly_div_exact(q, raw_q)
+        rows.append([p * cofactor for p in numerators(g)])
+    inv = CycNum.from_rational(1) / len(G)
+    return [RatFun(sum(col, Poly()).scale(inv), q) for col in zip(*rows)]
 
 
 def molien_scalar(G: AutGroup) -> RatFun:
     """Hilbert series of the fixed ring: the average of the total traces."""
-    return _average([total_trace_closed(g)[2] for g in G])
+    return _average(G, lambda g: [raw_numerator(g)])[0]
 
 
 def molien_vector(G: AutGroup) -> list[RatFun]:
     """Per-vertex Hilbert series of the fixed ring."""
-    traces = [vector_trace_closed_34(g) for g in G]
-    return [_average([v[i] for v in traces]) for i in range(G.n)]
+    return _average(G, closed_34_numerators)
 
 
 def _matrix_series(G: AutGroup, D: int) -> list:
@@ -131,35 +139,40 @@ class MatrixReconstruction:
     status: str
 
 
-def molien_matrix(G: AutGroup, D: int | None = None) -> MatrixReconstruction:
-    """Per-vertex-pair Hilbert series of the fixed ring, in closed form.
-
-    H(i, j) is the group average of P^g_ij / raw_q(g), summed over the
-    common denominator lcm(raw_q) and normalised once per entry.  Every
-    entry is certified against the path-sum series through degree D
-    (default and minimum 4n).
-    """
-    n = G.n
+def _window(n: int, D: int | None) -> int:
+    """The degree window of the matrix certificate: default and minimum 4n."""
     if D is None:
-        D = 4 * n
+        return 4 * n
     if D < 4 * n:
         raise ValueError("truncation %d too small; need at least 4n = %d" % (D, 4 * n))
-    raws = [raw_denominator(g) for g in G]
-    q = poly_lcm_all(raws)
-    nums = []
-    for g, raw_q in zip(G, raws):
-        cofactor = poly_div_exact(q, raw_q)
-        nums.append([[p * cofactor for p in row] for row in _end_vertex_numerators(g)])
-    entries = [[_mean([P[i][j] for P in nums], q) for j in range(n)] for i in range(n)]
+    return D
+
+
+def _certified_matrix(G: AutGroup, entries: list, D: int) -> MatrixReconstruction:
+    """The n x n matrix of the row-major entries, checked through degree D."""
+    n = G.n
+    rows = [entries[i * n:(i + 1) * n] for i in range(n)]
     series = _matrix_series(G, D)
     for i in range(n):
         for j in range(n):
-            if series_expand(entries[i][j], D) != series[i][j]:
+            if series_expand(rows[i][j], D) != series[i][j]:
                 raise ArithmeticError(
                     "matrix entry (%d, %d) disagrees with the path-sum series "
                     "through degree %d" % (i + 1, j + 1, D)
                 )
-    return MatrixReconstruction(RatMatrix(entries), "ok")
+    return MatrixReconstruction(RatMatrix(rows), "ok")
+
+
+def molien_matrix(G: AutGroup, D: int | None = None) -> MatrixReconstruction:
+    """Per-vertex-pair Hilbert series of the fixed ring, in closed form.
+
+    H(i, j) is the group average of P^g_ij / raw_q(g), over lcm(raw_q).
+    Every entry is certified against the path-sum series through degree D
+    (default and minimum 4n).
+    """
+    D = _window(G.n, D)
+    entries = _average(G, lambda g: [p for row in _end_vertex_numerators(g) for p in row])
+    return _certified_matrix(G, entries, D)
 
 
 @dataclass
@@ -170,12 +183,24 @@ class MolienReport:
 
 
 def molien_report(G: AutGroup, D: int | None = None) -> MolienReport:
-    """Scalar, vector and matrix series with internal consistency checks."""
-    scalar = molien_scalar(G)
-    vector = molien_vector(G)
-    if not sums_to(vector, scalar):
-        raise ArithmeticError("vector series do not sum to the scalar series")
-    matrix = molien_matrix(G, D)
-    if not all(sums_to(row, v) for row, v in zip(matrix.matrix.entries, vector)):
-        raise ArithmeticError("matrix row sums disagree with the vector series")
-    return MolienReport(scalar=scalar, vector=vector, matrix=matrix)
+    """Scalar, vector and matrix series with internal consistency checks.
+
+    The numerators of each element are checked before they are averaged:
+    sum(p34) == raw_p, and row i of the end-vertex numerators sums to p34[i].
+    """
+    n = G.n
+    D = _window(n, D)
+
+    def numerators(g: DiagonalAut) -> list:
+        raw_p = raw_numerator(g)
+        p34 = closed_34_numerators(g)
+        P = _end_vertex_numerators(g)
+        if sum(p34, Poly()) != raw_p:
+            raise ArithmeticError("vector series do not sum to the scalar series")
+        if any(sum(row, Poly()) != p for row, p in zip(P, p34)):
+            raise ArithmeticError("matrix row sums disagree with the vector series")
+        return [raw_p] + p34 + [p for row in P for p in row]
+
+    means = _average(G, numerators)
+    return MolienReport(scalar=means[0], vector=means[1:n + 1],
+                        matrix=_certified_matrix(G, means[n + 1:], D))

@@ -9,17 +9,19 @@ Three independent computations of the same data:
   matrix.
 
 The total trace also has an explicit (not necessarily reduced) fraction
-raw_p/raw_q with raw_q = (1 - c_1...c_n t^n)(1 - t_1...t_n t^n).
+raw_p/raw_q with raw_q = (1 - c_1...c_n t^n)(1 - t_1...t_n t^n), given
+without a gcd by raw_numerator and raw_denominator.
 
 trace_report checks the closed forms against each other as polynomial
 identities over their known denominators, never on reduced forms: the
 3.4 numerators p34 (over raw_q) and the 3.5 numerators p35 (over det D(t))
 satisfy p34 * det == p35 * raw_q, and sum(p34) == raw_p.  The 3.5
-fractions carry their own certificates (tail vanishing and re-expansion,
-unreduced).  The reduced vector and total are compared with the oracle
-series through the window D.  Only those n + 1 printed series are
-normalised, so a report takes n + 1 gcds.  Every failed check raises
-ArithmeticError.
+fractions carry their own certificate, unreduced: det clears the tail of
+the series x, and since det(0) = 1 that alone makes x the series of
+num/det, so they need no re-expansion.  The reduced vector and total are
+compared with the oracle series through the window D.  Only those n + 1
+printed series are normalised, so a report takes n + 1 gcds.  Every failed
+check raises ArithmeticError.
 """
 
 from __future__ import annotations
@@ -28,14 +30,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .cyclotomic import CycNum, order_as_root_of_unity
-from .ratfun import (
-    Poly,
-    RatFun,
-    fraction_series,
-    pole_order_at_one,
-    poly_div_exact,
-    series_expand,
-)
+from .ratfun import Poly, RatFun, pole_order_at_one, poly_div_exact, series_expand
 from .quiver import DiagonalAut, SimplePath
 
 
@@ -200,9 +195,10 @@ def closed_35_numerators(g: DiagonalAut) -> tuple[list[Poly], Poly]:
 
     The solution of D(t) x = (1,...,1)^T is found from the explicit
     determinant and the power-series recurrence the system imposes.  Each
-    fraction is certified, unreduced (det(0) = 1), by the vanishing of the
-    tail of det * x and by exact re-expansion; a failed certificate raises
-    ArithmeticError.
+    fraction is certified, unreduced, by the vanishing of the tail of
+    det * x: then det * x == num modulo t^(K+1), and since det(0) = 1 the
+    series of num/det is x through degree K, so no re-expansion is needed.
+    A failed certificate raises ArithmeticError.
     """
     n = g.n
     q = g.c[0] * g.t[0]
@@ -233,13 +229,7 @@ def closed_35_numerators(g: DiagonalAut) -> tuple[list[Poly], Poly]:
                 "closed form 3.5: the determinant does not clear the series tail "
                 "at vertex %d" % (i + 1)
             )
-        num = Poly(prod[:det.degree + 1])
-        if fraction_series(num, det, K) != coeffs:
-            raise ArithmeticError(
-                "closed form 3.5: the fraction at vertex %d does not re-expand to "
-                "its series through degree %d" % (i + 1, K)
-            )
-        out.append(num)
+        out.append(Poly(prod[:det.degree + 1]))
     return out, det
 
 
@@ -256,11 +246,8 @@ def raw_denominator(g: DiagonalAut) -> Poly:
     return factor_c * Poly([1] + [0] * (n - 1) + [-_prod_t(g, 1, n)])
 
 
-def total_trace_closed(g: DiagonalAut):
-    """Explicit fraction (raw_p, raw_q, reduced) for the total trace.
-
-    raw_p and raw_q are kept unreduced; they need not be coprime.
-    """
+def raw_numerator(g: DiagonalAut) -> Poly:
+    """raw_p with Tr(g | A) = raw_p / raw_denominator(g), unreduced."""
     n = g.n
     coeffs = [CycNum.zero()] * (2 * n - 1)
     for k in range(n):
@@ -268,7 +255,15 @@ def total_trace_closed(g: DiagonalAut):
             for ell in range(1, n + 1):
                 term = _prod_t(g, n - k + ell, n + ell - 1) * _prod_c(g, n - s + ell, n + ell - 1)
                 coeffs[k + s] = coeffs[k + s] + term
-    raw_p = Poly(coeffs)
+    return Poly(coeffs)
+
+
+def total_trace_closed(g: DiagonalAut):
+    """Explicit fraction (raw_p, raw_q, reduced) for the total trace.
+
+    raw_p and raw_q are kept unreduced; they need not be coprime.
+    """
+    raw_p = raw_numerator(g)
     raw_q = raw_denominator(g)
     return raw_p, raw_q, RatFun(raw_p, raw_q)
 

@@ -101,6 +101,13 @@ def test_order_as_root_of_unity():
     # modulus 1 but not a root of unity: (3+4i)/5
     almost = (3 + 4 * root_of_unity(4)) / 5
     assert order_as_root_of_unity(almost) is None
+    # roots of unity stored at a conductor larger than their own
+    z3_at_12 = root_of_unity(3).lift(12)
+    assert z3_at_12.conductor == 12
+    assert order_as_root_of_unity(z3_at_12) == 3
+    minus_one_at_8 = CycNum.from_rational(-1).lift(8)
+    assert minus_one_at_8.conductor == 8
+    assert order_as_root_of_unity(minus_one_at_8) == 2
 
 
 def test_negative_powers():

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,8 +20,9 @@ from preproj.molien import (
 from preproj.parsing import parse_ratfun
 from preproj.quiver import AutGroup, generate_group, make_aut
 from preproj import ratfun
-from preproj.ratfun import Poly, RatFun, series_expand, sums_to
+from preproj.ratfun import Poly, RatFun, series_expand
 from preproj.cyclotomic import root_of_unity
+from preproj.trace import raw_denominator
 
 
 def test_hilbert_series():
@@ -129,27 +134,72 @@ def test_molien_report_consistency(group_order3):
     assert rep.matrix.matrix.row_sums() == rep.vector
 
 
-def test_sums_to_rejects_a_perturbed_target(group_order3, monkeypatch):
-    rep = molien_report(group_order3)
-    rows = rep.matrix.matrix.entries
-    dens = [rep.scalar.den] + [f.den for f in rep.vector]
-    dens += [f.den for row in rows for f in row]
-    seconds = []
+def test_molien_report_perturbed_end_vertex_numerator_raises(group_order3, monkeypatch):
+    real = molien._end_vertex_numerators
+
+    def perturbed(g):
+        P = real(g)
+        P[1][2] = P[1][2] + Poly.t_power(3)
+        return P
+
+    monkeypatch.setattr(molien, "_end_vertex_numerators", perturbed)
+    with pytest.raises(ArithmeticError, match="matrix row sums disagree"):
+        molien_report(group_order3)
+
+
+def test_molien_report_perturbed_34_numerator_raises(group_order3, monkeypatch):
+    real = molien.closed_34_numerators
+
+    def perturbed(g):
+        nums = real(g)
+        return [nums[0] + Poly.t_power(1)] + nums[1:]
+
+    monkeypatch.setattr(molien, "closed_34_numerators", perturbed)
+    with pytest.raises(ArithmeticError, match="vector series do not sum to the scalar"):
+        molien_report(group_order3)
+
+
+def test_molien_checks_survive_python_O():
+    script = """
+from preproj import molien
+from preproj.quiver import generate_group, make_aut
+real = molien._end_vertex_numerators
+def perturbed(g):
+    P = real(g)
+    P[0][0] = P[0][0] + 1
+    return P
+molien._end_vertex_numerators = perturbed
+G = generate_group([make_aut(3, ["zeta(3)", "1", "zeta(3)^2"], ["1", "zeta(3)", "zeta(3)^2"])])
+try:
+    molien.molien_report(G)
+except ArithmeticError as exc:
+    print("raised:", exc)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert "raised: matrix row sums disagree with the vector series" in out.stdout
+
+
+def test_molien_report_takes_one_lcm_and_one_gcd_per_output(group_order3, monkeypatch):
+    # the gcds building lcm(raw_q), then one per scalar, vector and matrix entry
+    calls = []
     real = ratfun.poly_gcd
 
-    def recorded(a, b):
-        seconds.append(b)
+    def counted(a, b):
+        calls.append(1)
         return real(a, b)
 
-    monkeypatch.setattr(ratfun, "poly_gcd", recorded)
-    assert sums_to(rep.vector, rep.scalar)
-    assert all(sums_to(row, v) for row, v in zip(rows, rep.vector))
-    # every gcd taken is against a denominator, never a numerator
-    assert all(any(b == d for d in dens) for b in seconds)
-    bump = RatFun(Poly.t_power(7), Poly([1, -1]))
-    assert not sums_to(rep.vector, rep.scalar + bump)
-    assert not sums_to(rows[0], rep.vector[0] + RatFun.constant(1))
-    assert sums_to([], RatFun.constant(0))
+    monkeypatch.setattr(ratfun, "poly_gcd", counted)
+    for G in (group_order3, generate_group([make_aut(4, *ZETA3_4CYCLE)])):
+        distinct = []
+        for q in (raw_denominator(g) for g in G):
+            if q not in distinct:
+                distinct.append(q)
+        calls.clear()
+        molien_report(G)
+        assert len(calls) <= len(distinct) + 1 + G.n + G.n ** 2
 
 
 def test_molien_coefficients_nonnegative_integers():
