@@ -8,8 +8,9 @@ Problems are described by a single JSON document (file or stdin)::
 
 Scalars are strings in the exact cyclotomic grammar (rationals, i, zeta(n));
 floats are never accepted.  Exit codes: 0 all checks passed, 1 inconclusive
-or failed verification, 2 hard error (bad input, cap exceeded, internal
-inconsistency).
+or failed verification, 2 hard error (bad input, cap exceeded), 3 internal
+inconsistency (a failed certificate or cross-check, an ArithmeticError).
+Errors are reported as one ``error: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -283,9 +284,13 @@ def main(argv=None) -> int:
             if args.presentation is None:
                 raise JobError("verify-presentation needs --presentation FILE")
             code = cmd_verify_presentation(quiver, gens, options, out, args.presentation)
-    except (JobError, ParseError, AutomorphismError, GroupBoundError, ValueError) as exc:
+    except (JobError, ParseError, AutomorphismError, GroupBoundError,
+            fixedring.RewriteLimitError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print("error: internal inconsistency: %s" % exc, file=sys.stderr)
+        return 3
     out.finish()
     return code
 

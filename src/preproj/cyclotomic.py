@@ -1,10 +1,16 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-Elements are stored on the power basis {zeta_N^k : 0 <= k < phi(N)} with
-arbitrary-precision rational coordinates, reduced modulo the N-th cyclotomic
-polynomial.  The conductor of a value is whatever it was constructed with;
-equality always unifies conductors (lift to the lcm) before comparing, so a
-value never has to be recognized as living in a subfield.
+A value stores integer coordinates ``nums`` on the power basis
+{zeta_N^k : 0 <= k < phi(N)} and one positive denominator ``den``, in
+lowest terms (gcd(den, *nums) == 1), so two equal values at one conductor
+have equal fields.  Products are reduced modulo the N-th cyclotomic
+polynomial, which is monic with integer coefficients, so integer vectors
+stay integral and no rational arithmetic is needed outside ``inverse``.
+
+The conductor of a value is whatever it was constructed with; a result has
+the lcm of its operands' conductors, and equality unifies conductors (lifts
+to the lcm) before comparing, so a value never has to be recognized as
+living in a subfield.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, neg, sub
 
 
 class CycDivisionError(ZeroDivisionError):
@@ -28,27 +35,36 @@ def _phi(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
-    """Coefficients (ascending) of the n-th cyclotomic polynomial."""
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Integer coefficients (ascending) of the n-th cyclotomic polynomial."""
     if n == 1:
-        return (Fraction(-1), Fraction(1))
+        return (-1, 1)
     # (x^n - 1) / prod_{d | n, d < n} Phi_d, by exact division.
-    num = [Fraction(0)] * (n + 1)
-    num[0] = Fraction(-1)
-    num[n] = Fraction(1)
+    num = [0] * (n + 1)
+    num[0] = -1
+    num[n] = 1
     for d in range(1, n):
         if n % d == 0:
             num = _polydiv_exact(num, list(cyclotomic_polynomial(d)))
     return tuple(num)
 
 
-def _polydiv_exact(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    # Exact division of polynomials with Fraction coefficients; b monic-led.
+@lru_cache(maxsize=None)
+def _reduction_rule(n: int):
+    """(deg Phi_n, the nonzero (j, r_j) with zeta_n^deg = sum_j r_j zeta_n^j)."""
+    phi = cyclotomic_polynomial(n)
+    deg = len(phi) - 1
+    return deg, tuple((j, -c) for j, c in enumerate(phi[:deg]) if c)
+
+
+def _polydiv_exact(a: list, b: list) -> list:
+    # Exact division by a monic polynomial; integer input gives integer output.
+    if b[-1] != 1:
+        raise ValueError("divisor must be monic")
     a = a[:]
-    q = [Fraction(0)] * (len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
+    q = [0] * (len(a) - len(b) + 1)
     for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] * inv_lead
+        c = a[i + len(b) - 1]
         q[i] = c
         if c:
             for j, bj in enumerate(b):
@@ -58,51 +74,85 @@ def _polydiv_exact(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return q
 
 
-def _reduce_mod_cyclotomic(coeffs: list[Fraction], n: int) -> tuple[Fraction, ...]:
-    phi = cyclotomic_polynomial(n)
-    deg = len(phi) - 1
+def _reduce_mod_cyclotomic(coeffs: list, n: int) -> tuple:
+    """Power-basis coordinates of sum_k coeffs[k] zeta_n^k."""
+    deg, rule = _reduction_rule(n)
+    if len(coeffs) <= deg:
+        return tuple(coeffs) + (0,) * (deg - len(coeffs))
     coeffs = coeffs[:]
-    if len(coeffs) < deg:
-        coeffs += [Fraction(0)] * (deg - len(coeffs))
     for i in range(len(coeffs) - 1, deg - 1, -1):
         c = coeffs[i]
         if c:
-            for j in range(deg + 1):
-                coeffs[i - deg + j] -= c * phi[j]
-        coeffs[i] = Fraction(0)
+            base = i - deg
+            for j, r in rule:
+                coeffs[base + j] += c * r
     return tuple(coeffs[:deg])
+
+
+def _make(conductor: int, nums: tuple, den: int) -> "CycNum":
+    """A value from coordinates already in lowest terms; no checks."""
+    x = object.__new__(CycNum)
+    x.conductor = conductor
+    x.nums = nums
+    x.den = den
+    return x
+
+
+def _lowest(conductor: int, nums: tuple, den: int) -> "CycNum":
+    """The value nums/den (den > 0), divided through by gcd(den, *nums)."""
+    if den != 1:
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = tuple([x // g for x in nums])
+            den //= g
+    return _make(conductor, nums, den)
 
 
 class CycNum:
     """An exact element of Q(zeta_N) on the power basis of zeta_N."""
 
-    __slots__ = ("conductor", "coeffs")
+    __slots__ = ("conductor", "nums", "den")
 
     def __init__(self, conductor: int, coeffs):
         if conductor < 1:
             raise ValueError("conductor must be a positive integer")
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
         if len(coeffs) != _phi(conductor):
             raise ValueError(
                 "need %d coordinates for conductor %d, got %d"
                 % (_phi(conductor), conductor, len(coeffs))
             )
+        # With every coordinate in lowest terms, the lcm of their
+        # denominators leaves gcd(den, *nums) == 1.
+        den = math.lcm(*(c.denominator for c in coeffs))
         self.conductor = conductor
-        self.coeffs = coeffs
+        self.nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coordinates as Fractions.
+
+        Nothing in the package reads this; it stays for outside readers
+        such as the benchmark's coefficient-size counter.
+        """
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def from_rational(q) -> "CycNum":
-        return CycNum(1, (Fraction(q),))
+        if not isinstance(q, (int, Fraction)):
+            q = Fraction(q)
+        return _make(1, (q.numerator,), q.denominator)
 
     @staticmethod
     def zero() -> "CycNum":
-        return CycNum.from_rational(0)
+        return _make(1, (0,), 1)
 
     @staticmethod
     def one() -> "CycNum":
-        return CycNum.from_rational(1)
+        return _make(1, (1,), 1)
 
     # -- conductor handling ---------------------------------------------
 
@@ -112,11 +162,13 @@ class CycNum:
             return self
         if m % self.conductor != 0:
             raise ValueError("cannot lift conductor %d to %d" % (self.conductor, m))
+        nums = self.nums
         step = m // self.conductor
-        raw = [Fraction(0)] * (len(self.coeffs) * step + 1)
-        for k, c in enumerate(self.coeffs):
-            raw[k * step] += c
-        return CycNum(m, _reduce_mod_cyclotomic(raw, m))
+        raw = [0] * ((len(nums) - 1) * step + 1)
+        raw[::step] = nums
+        # The power basis is an integral basis of Z[zeta_m], so lifting
+        # keeps the coordinates in lowest terms.
+        return _make(m, _reduce_mod_cyclotomic(raw, m), self.den)
 
     def _unified(self, other: "CycNum"):
         m = self.conductor * other.conductor // math.gcd(self.conductor, other.conductor)
@@ -131,66 +183,91 @@ class CycNum:
             return CycNum.from_rational(other)
         return NotImplemented
 
+    def _combine(self, other, op):
+        """self op other for op in (add, sub)."""
+        if not isinstance(other, CycNum):
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if self.conductor == other.conductor:
+            a, b, m = self, other, self.conductor
+        else:
+            a, b, m = self._unified(other)
+        da, db = a.den, b.den
+        if da == db:
+            nums = tuple(map(op, a.nums, b.nums))
+            return _lowest(m, nums, da)
+        g = math.gcd(da, db)
+        ka, kb = db // g, da // g
+        nums = tuple([op(x * ka, y * kb) for x, y in zip(a.nums, b.nums)])
+        return _lowest(m, nums, da * ka)
+
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b, m = self._unified(other)
-        return CycNum(m, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        return self._combine(other, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNum(self.conductor, tuple(-x for x in self.coeffs))
+        return _make(self.conductor, tuple(map(neg, self.nums)), self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, sub)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scaled(self, p: int, q: int) -> "CycNum":
+        """self * p/q for a rational p/q in lowest terms, q > 0."""
+        if p == q:
+            return self
+        if not p:
+            return _make(self.conductor, (0,) * len(self.nums), 1)
+        return _lowest(self.conductor, tuple([x * p for x in self.nums]), self.den * q)
+
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, CycNum):
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if other.conductor == 1:
-            q = other.coeffs[0]
-            return CycNum(self.conductor, tuple(x * q for x in self.coeffs))
+            return self._scaled(other.nums[0], other.den)
         if self.conductor == 1:
-            q = self.coeffs[0]
-            return CycNum(other.conductor, tuple(x * q for x in other.coeffs))
-        a, b, m = self._unified(other)
-        raw = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
-        for i, x in enumerate(a.coeffs):
+            return other._scaled(self.nums[0], self.den)
+        if self.conductor == other.conductor:
+            a, b, m = self, other, self.conductor
+        else:
+            a, b, m = self._unified(other)
+        bn = b.nums
+        raw = [0] * (len(a.nums) + len(bn) - 1)
+        for i, x in enumerate(a.nums):
             if x:
-                for j, y in enumerate(b.coeffs):
+                for j, y in enumerate(bn):
                     if y:
                         raw[i + j] += x * y
-        return CycNum(m, _reduce_mod_cyclotomic(raw, m))
+        return _lowest(m, _reduce_mod_cyclotomic(raw, m), a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNum":
         if self.is_zero():
             raise CycDivisionError("cannot invert zero")
-        if self.conductor == 1:
-            return CycNum(1, (1 / self.coeffs[0],))
-        # Extended Euclid against Phi_N over Q.
-        phi = list(cyclotomic_polynomial(self.conductor))
-        r0, r1 = phi, list(self.coeffs)
+        if len(self.nums) == 1:
+            p, q = self.nums[0], self.den
+            return _make(self.conductor, (-q,), -p) if p < 0 else _make(self.conductor, (q,), p)
+        # Extended Euclid against Phi_N over Q, on the integer coordinates.
+        phi = [Fraction(c) for c in cyclotomic_polynomial(self.conductor)]
+        r0, r1 = phi, [Fraction(x) for x in self.nums]
         s0, s1 = [Fraction(0)], [Fraction(1)]
         while any(c for c in r1):
             q, r = _polydivmod(r0, r1)
             r0, r1 = r1, r
             s0, s1 = s1, _polysub(s0, _polymul(q, s1))
-        # r0 = gcd (a nonzero constant since Phi_N is irreducible), s0*a = r0 mod Phi.
+        # r0 = gcd, a nonzero constant since Phi_N is irreducible, and
+        # s0 * nums = r0 mod Phi_N, so 1 / (nums/den) = s0 * den / r0.
         lead = next(c for c in reversed(r0) if c)
         if any(c != 0 for c in r0[1:]) or r0[0] != lead:
             raise ArithmeticError("gcd with Phi_%d is not a constant" % self.conductor)
-        inv = [c / lead for c in s0]
+        inv = [c * self.den / lead for c in s0]
         return CycNum(self.conductor, _reduce_mod_cyclotomic(inv, self.conductor))
 
     def __truediv__(self, other):
@@ -217,27 +294,28 @@ class CycNum:
     # -- predicates ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_one(self) -> bool:
-        return self == CycNum.one()
+        return self.den == 1 and self.nums[0] == 1 and not any(self.nums[1:])
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("not a rational number: %s" % self)
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         if self.conductor == other.conductor:
-            return self.coeffs == other.coeffs
-        a, b, _ = self._unified(other)
-        return a.coeffs == b.coeffs
+            a, b = self, other
+        else:
+            a, b, _ = self._unified(other)
+        return a.den == b.den and a.nums == b.nums
 
     def __bool__(self):
         return not self.is_zero()
@@ -288,9 +366,9 @@ def root_of_unity(m: int, k: int = 1) -> CycNum:
     k %= m
     if k == 0:
         return CycNum.one()
-    raw = [Fraction(0)] * (k + 1)
-    raw[k] = Fraction(1)
-    return CycNum(m, _reduce_mod_cyclotomic(raw, m))
+    raw = [0] * (k + 1)
+    raw[k] = 1
+    return _make(m, _reduce_mod_cyclotomic(raw, m), 1)
 
 
 def order_as_root_of_unity(a: CycNum):
@@ -310,24 +388,28 @@ def order_as_root_of_unity(a: CycNum):
 
 # -- printing -------------------------------------------------------------
 
-def _fmt_fraction(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return "%d/%d" % (q.numerator, q.denominator)
+def _fmt_ratio(p: int, q: int) -> str:
+    # Render p/q, for p >= 0 and q > 0, in lowest terms.
+    g = math.gcd(p, q)
+    p, q = p // g, q // g
+    if q == 1:
+        return str(p)
+    return "%d/%d" % (p, q)
 
 
 def format_scalar(a: CycNum) -> str:
     """Render on the power basis in the scalar grammar, e.g. '1/2 - zeta(3)^2'."""
+    den = a.den
     parts = []
-    for k, c in enumerate(a.coeffs):
-        if c == 0:
+    for k, x in enumerate(a.nums):
+        if x == 0:
             continue
         if k == 0:
-            body = _fmt_fraction(abs(c))
+            body = _fmt_ratio(abs(x), den)
         else:
             zeta = "zeta(%d)" % a.conductor if k == 1 else "zeta(%d)^%d" % (a.conductor, k)
-            body = zeta if abs(c) == 1 else "%s*%s" % (_fmt_fraction(abs(c)), zeta)
-        sign = "-" if c < 0 else "+"
+            body = zeta if abs(x) == den else "%s*%s" % (_fmt_ratio(abs(x), den), zeta)
+        sign = "-" if x < 0 else "+"
         parts.append((sign, body))
     if not parts:
         return "0"

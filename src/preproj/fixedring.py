@@ -20,8 +20,9 @@ from .ratfun import (
     SingularMatrixError,
     mat_inverse,
     poly_div_exact,
+    poly_lcm_all,
 )
-from .molien import hilbert_A, hilbert_eA, matrix_hilbert_A, molien_report
+from .molien import hilbert_A, hilbert_eA, molien_report
 from .quiver import AutGroup, SimplePath
 from .trace import eigenvalue_table
 
@@ -422,6 +423,28 @@ class DiagnosisReport:
     notes: list
 
 
+def _times_X(H: RatMatrix) -> RatMatrix:
+    """H X for X = (1 + t^2) I - t C, C the double-quiver adjacency matrix.
+
+    X is the inverse of the matrix Hilbert series of A, so the multiplicity
+    matrix P = H_A H^{-1} is (H X)^{-1}.  Entry (i, j) is
+    H_ij (1 + t^2) - t (H_i,j-1 + H_i,j+1), summed over the lcm of its three
+    denominators and normalised once.
+    """
+    n = H.rows
+    diag, off = Poly([1, 0, 1]), Poly([0, -1])
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            terms = [(H[i, j], diag), (H[i, (j - 1) % n], off), (H[i, (j + 1) % n], off)]
+            q = poly_lcm_all(f.den for f, _ in terms)
+            num = sum((f.num * poly_div_exact(q, f.den) * c for f, c in terms), Poly())
+            row.append(RatFun(num, q))
+        rows.append(row)
+    return RatMatrix(rows)
+
+
 def diagnose_projectivity(G: AutGroup, D: int | None = None) -> DiagnosisReport:
     """Can A be free, or at least projective, over A^G by Hilbert-series data?
 
@@ -433,14 +456,13 @@ def diagnose_projectivity(G: AutGroup, D: int | None = None) -> DiagnosisReport:
     """
     notes = []
     mol = molien_report(G, D)
+    n = G.n
     try:
-        inv = mat_inverse(mol.matrix.matrix)
+        P = mat_inverse(_times_X(mol.matrix.matrix))
     except SingularMatrixError:
         return DiagnosisReport(
             None, "none", "Inconclusive", ["matrix Hilbert series is singular"]
         )
-    n = G.n
-    P = matrix_hilbert_A(n) * inv
     check = [
         sum((P[i, j] * mol.vector[j] for j in range(n)), RatFun.constant(0))
         for i in range(n)

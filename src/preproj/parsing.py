@@ -14,7 +14,6 @@ Scalars are the constant expressions of this grammar ('t' not allowed).
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from .cyclotomic import CycNum, format_scalar, root_of_unity
 from .ratfun import Poly, RatFun
@@ -119,7 +118,7 @@ class _Parser:
             self.expect(")")
             return RatFun.constant(root_of_unity(int(arg)))
         if tok.isdigit():
-            return RatFun.constant(Fraction(int(tok)))
+            return RatFun.constant(int(tok))
         raise ParseError("unexpected token %r" % tok)
 
 

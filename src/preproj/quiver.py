@@ -239,7 +239,8 @@ def _conductor_lcm(auts) -> int:
 
 
 def _aut_key(g: DiagonalAut, conductor: int):
-    return tuple(x.lift(conductor).coeffs for x in g.c + g.t)
+    lifted = [x.lift(conductor) for x in g.c + g.t]
+    return tuple((x.nums, x.den) for x in lifted)
 
 
 @dataclass(frozen=True)

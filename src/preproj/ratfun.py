@@ -25,7 +25,7 @@ class NotAPowerSeriesError(ArithmeticError):
 def _cyc(c) -> CycNum:
     if isinstance(c, CycNum):
         return c
-    return CycNum.from_rational(Fraction(c))
+    return CycNum.from_rational(c)
 
 
 class Poly:

@@ -1,9 +1,14 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from preproj import fixedring, molien
 from preproj.cli import main
 from preproj.parsing import parse_ratfun
+from preproj.ratfun import Poly
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def write_job(tmp_path, n=3, generators=(), options=None, name="job.json"):
@@ -20,6 +25,9 @@ def write_job(tmp_path, n=3, generators=(), options=None, name="job.json"):
 HALFTURN = (["1", "1", "1"], ["-1", "-1", "-1"])
 ORDER6 = (["1", "-1", "-1"], ["zeta(3)", "-zeta(3)", "-zeta(3)"])
 ORDER3 = (["zeta(3)", "1", "zeta(3)^2"], ["1", "zeta(3)", "zeta(3)^2"])
+# c_i t_i = zeta(12)^7: the printed series have zeta(12)^k coefficients
+CONDUCTOR12 = (["zeta(4)", "zeta(4)^3", "1"],
+               ["zeta(3)", "zeta(3)*zeta(4)^2", "zeta(3)*zeta(4)"])
 
 
 def test_trace_command(tmp_path, capsys):
@@ -148,3 +156,44 @@ def test_stdin_input(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(doc))
     assert main(["trace"]) == 0
     assert "3/(1-t^2)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("trace", ["--degree", "30"]),
+    ("molien", []),
+    ("diagnose", []),
+])
+def test_golden_conductor12(tmp_path, capsys, command, flags):
+    job = write_job(tmp_path, generators=[CONDUCTOR12])
+    assert main([command, job, "--json", *flags]) == 0
+    golden = (GOLDEN / ("conductor12_%s.json" % command)).read_text()
+    assert capsys.readouterr().out == golden
+
+
+def test_failed_certificate_exits_3(tmp_path, capsys, monkeypatch):
+    real = molien._end_vertex_numerators
+
+    def perturbed(g):
+        P = real(g)
+        P[1][2] = P[1][2] + Poly.t_power(3)
+        return P
+
+    monkeypatch.setattr(molien, "_end_vertex_numerators", perturbed)
+    job = write_job(tmp_path, generators=[ORDER3])
+    assert main(["molien", job, "--json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: internal inconsistency: matrix row sums disagree with the vector series"]
+    assert "Traceback" not in captured.err
+
+
+def test_rewrite_limit_exits_2(tmp_path, capsys, monkeypatch):
+    def capped(G, gens, D=None):
+        raise fixedring.RewriteLimitError("no normal form within 10000 steps")
+
+    monkeypatch.setattr(fixedring, "discover_relations", capped)
+    job = write_job(tmp_path, generators=[HALFTURN])
+    assert main(["fixed-ring", job, "--json"]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: no normal form within 10000 steps"]

@@ -2,11 +2,15 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from preproj import cyclotomic
 from preproj.cyclotomic import (
     CycDivisionError,
     CycNum,
     _polydiv_exact,
+    _polymul as _frac_polymul,
+    _reduce_mod_cyclotomic,
     cyclotomic_polynomial,
     format_scalar,
     order_as_root_of_unity,
@@ -122,3 +126,94 @@ def test_format_scalar():
     assert format_scalar(CycNum.from_rational(Fraction(-3, 2))) == "-3/2"
     assert format_scalar(z3 - z3 ** 2) == "1+2*zeta(3)"
     assert format_scalar(-z3) == "-zeta(3)"
+
+
+# -- the integer representation against the Fraction formulas ---------------
+
+CONDUCTORS = (1, 3, 4, 5, 8, 12, 24)
+
+
+def _degree(N):
+    return len(cyclotomic_polynomial(N)) - 1
+
+
+@st.composite
+def cycnums(draw):
+    N = draw(st.sampled_from(CONDUCTORS))
+    coeffs = draw(st.lists(
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        min_size=_degree(N), max_size=_degree(N)))
+    return CycNum(N, coeffs)
+
+
+def _lifted(x, m):
+    """Fraction coordinates of x over Q(zeta_m), by the textbook formula."""
+    step = m // x.conductor
+    raw = [Fraction(0)] * ((len(x.coeffs) - 1) * step + 1)
+    for k, c in enumerate(x.coeffs):
+        raw[k * step] = c
+    return tuple(_reduce_mod_cyclotomic(raw, m))
+
+
+def _check_invariants(x):
+    assert x.den > 0
+    assert gcd(x.den, *x.nums) == 1
+    assert all(type(v) is int for v in x.nums)
+    again = CycNum(x.conductor, x.coeffs)
+    assert again == x
+    assert (again.nums, again.den) == (x.nums, x.den)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(cycnums(), cycnums())
+def test_integer_arithmetic_matches_fraction_formulas(x, y):
+    m = x.conductor * y.conductor // gcd(x.conductor, y.conductor)
+    lx, ly = _lifted(x, m), _lifted(y, m)
+    total, diff, prod = x + y, x - y, x * y
+    for r in (total, diff, prod):
+        assert r.conductor == m
+        _check_invariants(r)
+    assert total.coeffs == tuple(a + b for a, b in zip(lx, ly))
+    assert diff.coeffs == tuple(a - b for a, b in zip(lx, ly))
+    assert prod.coeffs == tuple(_reduce_mod_cyclotomic(_frac_polymul(list(lx), list(ly)), m))
+    assert (x == y) == (lx == ly)
+    lift = x.lift(m)
+    assert lift.conductor == m
+    assert lift.coeffs == lx
+    assert lift == x
+    _check_invariants(lift)
+    _check_invariants(x)
+    if not x.is_zero():
+        inv = x.inverse()
+        assert inv.conductor == x.conductor
+        _check_invariants(inv)
+        one = _reduce_mod_cyclotomic(_frac_polymul(list(x.coeffs), list(inv.coeffs)), x.conductor)
+        assert tuple(one) == (1,) + (0,) * (_degree(x.conductor) - 1)
+
+
+def test_field_operations_need_no_fraction(monkeypatch):
+    z3, z4 = root_of_unity(3), root_of_unity(4)
+    values = [
+        2 * z3 + Fraction(1, 2),
+        z4 / 3 - Fraction(2, 5),
+        root_of_unity(12, 5) * Fraction(3, 7) + z3,
+        CycNum.from_rational(Fraction(-3, 4)),
+    ]
+    expected = [(a + b, a - b, a * b) for a in values for b in values]
+    expected_coeffs = [tuple(r.coeffs for r in triple) for triple in expected]
+
+    def no_fraction(*args, **kwargs):
+        raise AssertionError("Fraction used in field arithmetic")
+
+    monkeypatch.setattr(cyclotomic, "Fraction", no_fraction)
+    got = [(a + b, a - b, a * b) for a in values for b in values]
+    assert all(g[k] == e[k] for g, e in zip(got, expected) for k in range(3))
+    assert all(a == a.lift(12) for a in values)
+    assert (z3 + z4).conductor == 12
+    assert (z3 * z4) ** 12 == 1
+    assert (-(z3 ** 2)).lift(12) == root_of_unity(6)
+    assert (z4 ** 4).is_one() and (z3 ** 3).lift(12).is_one()
+    assert not values[0].is_one()
+    assert values[0] + 1 - 1 == values[0] and values[1] * 2 == values[1] + values[1]
+    monkeypatch.undo()
+    assert [tuple(r.coeffs for r in triple) for triple in got] == expected_coeffs
